@@ -2,7 +2,7 @@ module Stopwatch = Olsq2_util.Stopwatch
 module Solver = Olsq2_sat.Solver
 
 (* External preemption handle: a cross-domain flag plus the solvers
-   currently serving the budgeted run.  [preempt] raises the flag and
+   currently solving for the budgeted run.  [preempt] raises the flag and
    interrupts every attached solver, so a watchdog in another domain can
    stop a run mid-search (the serve daemon's wall-deadline enforcement);
    a solver attached after the fact is interrupted immediately. *)
@@ -109,17 +109,25 @@ let exhausted st =
   || (match st.deadline with Some d -> Stopwatch.now () >= d | None -> false)
   || match conflicts_left st with Some c -> c <= 0 | None -> false
 
-let attach st solver =
+let with_attached st solver f =
   match st.limits.control with
-  | None -> ()
+  | None -> f ()
   | Some ctl ->
     Mutex.lock ctl.cm;
     let known = List.memq solver ctl.attached in
     if not known then ctl.attached <- solver :: ctl.attached;
     Mutex.unlock ctl.cm;
-    (* a run already past its deadline must not start fresh search on a
-       newly built solver *)
-    if Atomic.get ctl.preempted then Solver.interrupt solver
+    (* a run already preempted must not start fresh search: a preempt
+       that landed between two solves is caught here *)
+    if Atomic.get ctl.preempted then Solver.interrupt solver;
+    let detach () =
+      if not known then begin
+        Mutex.lock ctl.cm;
+        ctl.attached <- List.filter (fun s -> s != solver) ctl.attached;
+        Mutex.unlock ctl.cm
+      end
+    in
+    Fun.protect ~finally:detach f
 
 let solve_timeout st =
   let wall = match st.deadline with None -> None | Some d -> Some (d -. Stopwatch.now ()) in

@@ -12,17 +12,17 @@
     Optimization bodies derive each SAT call's [?timeout] /
     [?max_conflicts] from the state ({!solve_timeout},
     {!solve_max_conflicts}) and report what the call actually cost with
-    {!charge}; nested entry points share one state, so the deadline never
-    slides and conflicts accumulate across phases.
+    {!charge}; every phase of a run shares one state, so the deadline
+    never slides and conflicts accumulate across phases.
 
     A budget may additionally carry a {!control}: an external preemption
     handle with which another domain (e.g. the serve daemon's
     wall-deadline watchdog) stops the run {e mid-search} — the engine
-    attaches every master solver it drives to the control
-    ({!attach}), and {!preempt} both flips {!exhausted} and calls
-    {!Olsq2_sat.Solver.interrupt} on each of them, so the current solve
-    call returns [Unknown Interrupted] promptly instead of running to its
-    own timeout. *)
+    attaches each master solver to the control for the duration of a
+    solve call ({!with_attached}), and {!preempt} both flips
+    {!exhausted} and calls {!Olsq2_sat.Solver.interrupt} on the attached
+    solvers, so the current solve call returns [Unknown Interrupted]
+    promptly instead of running to its own timeout. *)
 
 (** External preemption handle shared between the run and a watchdog. *)
 type control
@@ -87,11 +87,13 @@ val remaining_seconds : state -> float
     budget's control was preempted. *)
 val exhausted : state -> bool
 
-(** Register a solver as actively serving this budgeted run, so a later
-    {!preempt} interrupts it.  No-op without a control; a solver attached
-    after preemption is interrupted immediately.  Safe to call repeatedly
-    with the same solver. *)
-val attach : state -> Olsq2_sat.Solver.t -> unit
+(** [with_attached st solver f] runs [f] (one solve call) with [solver]
+    registered as serving this budgeted run, so a {!preempt} meanwhile
+    interrupts it; the solver is detached when [f] returns or raises, so
+    the control never keeps a finished run's solvers alive.  No-op
+    without a control; a solver attached after preemption is interrupted
+    immediately.  Nested calls with the same solver are safe. *)
+val with_attached : state -> Olsq2_sat.Solver.t -> (unit -> 'a) -> 'a
 
 (** The [?timeout] to pass to the next solve call: the remaining wall
     allowance, further clamped by [per_bound_seconds]; [None] when

@@ -5,22 +5,25 @@
 
    - Depth: start at the lower bound T_LB; on UNSAT grow the bound
      geometrically (x1.3 below 100, x1.1 above); after the first SAT,
-     descend by 1 until UNSAT.  If the horizon T_UB is exhausted, rebuild
-     the encoding with a larger horizon.
+     descend by 1 until UNSAT.
    - SWAP count: start from a depth-optimal solution, then iteratively
      *descend* the SWAP bound (monotone solution structure: each SAT
      model's count seeds the next, tighter bound).  Then relax the depth
      bound and repeat, sweeping the (depth, SWAP) Pareto frontier, until
      no improvement or the time budget runs out.
 
-   All bounds are solver assumptions over selector literals, so learnt
-   clauses survive between iterations (incremental solving). *)
+   Each loop is written once, over a bound [oracle]: the classic
+   [Encoder] (rebuilt when a bound outgrows its horizon) or the
+   horizon-extension [Session] (extended in place).  All bounds are
+   solver assumptions over selector literals, so learnt clauses survive
+   between iterations (incremental solving). *)
 
 module Lit = Olsq2_sat.Lit
 module Solver = Olsq2_sat.Solver
 module Stopwatch = Olsq2_util.Stopwatch
 module Obs = Olsq2_obs.Obs
 module Pool = Olsq2_parallel.Pool
+module Session = Olsq2_incremental.Session
 
 (* ---- per-iteration statistics collection ---- *)
 
@@ -34,10 +37,7 @@ type iter_stat = {
 
 (* Each domain collects its own iteration records (portfolio arms run
    concurrently), so collection needs no locks: a per-domain collector is
-   armed by the entry point running in that domain.  Entry points nest
-   (minimize_swaps starts with the depth loop), hence the
-   physical-equality prefix walk in [collecting] instead of a flat
-   reset. *)
+   armed by the entry point running in that domain. *)
 type collector = {
   mutable active : bool;
   mutable iters : iter_stat list; (* newest first *)
@@ -49,30 +49,21 @@ let collector_key =
 
 let collector () = Domain.DLS.get collector_key
 
-(* Run an optimization entry point with iteration collection armed;
-   returns [f]'s result plus the iterations recorded during [f] (oldest
-   first) and their aggregate solver stats.  A nested entry point keeps
-   the outer collection running and still carves out its own slice. *)
+(* Run an optimization loop with iteration collection armed; returns
+   [f]'s result plus the iterations recorded during [f] (oldest first)
+   and their aggregate solver stats. *)
 let collecting f =
   let col = collector () in
-  let was_active = col.active in
-  if not was_active then begin
-    col.iters <- [];
-    col.agg <- Solver.stats_zero ()
-  end;
   col.active <- true;
-  let iters0 = col.iters in
-  let agg0 = Solver.stats_copy col.agg in
+  col.iters <- [];
+  col.agg <- Solver.stats_zero ();
   Fun.protect
-    ~finally:(fun () -> col.active <- was_active)
+    ~finally:(fun () ->
+      col.active <- false;
+      col.iters <- [])
     (fun () ->
       let r = f () in
-      let rec fresh acc = function
-        | l when l == iters0 -> acc
-        | [] -> acc
-        | x :: tl -> fresh (x :: acc) tl
-      in
-      (r, fresh [] col.iters, Solver.stats_diff ~after:col.agg ~before:agg0))
+      (r, List.rev col.iters, col.agg))
 
 (* ---- live progress ---- *)
 
@@ -101,17 +92,15 @@ let set_progress_sink ?(interval = 2000) cb = Atomic.set progress_sink (cb, inte
    (the failed bound assumptions are recorded on the span so a trace
    shows *which* bounds blocked each refinement step), and its progress
    callback feeds the ambient sink while this iteration runs. *)
-let iter_span name ~bound ?core ?pool solve =
+let iter_span name ~bound ~core ?pool solve =
   let col = collector () in
-  let stats_before =
-    if col.active then Option.map (fun s -> Solver.stats_copy (Solver.stats s)) core else None
-  in
+  let stats_before = if col.active then Some (Solver.stats_copy (Solver.stats core)) else None in
   let t0 = Stopwatch.now () in
   let solve =
-    match (core, Atomic.get progress_sink) with
-    | Some solver, (Some sink, interval) ->
+    match Atomic.get progress_sink with
+    | Some sink, interval ->
       fun () ->
-        Solver.set_progress ~interval solver
+        Solver.set_progress ~interval core
           (Some
              (fun s ->
                let st = Solver.stats s in
@@ -131,7 +120,7 @@ let iter_span name ~bound ?core ?pool solve =
           Pool.set_progress ~interval p
             (Some
                (fun (pg : Pool.progress) ->
-                 let st = Solver.stats solver in
+                 let st = Solver.stats core in
                  sink
                    {
                      prog_phase = name;
@@ -143,20 +132,16 @@ let iter_span name ~bound ?core ?pool solve =
         | None -> ());
         Fun.protect
           ~finally:(fun () ->
-            Solver.set_progress solver None;
+            Solver.set_progress core None;
             match pool with Some p -> Pool.set_progress p None | None -> ())
           solve
-    | _ -> solve
+    | None, _ -> solve
   in
   let record r =
     match stats_before with
     | None -> ()
     | Some before ->
-      let delta =
-        match core with
-        | Some s -> Solver.stats_diff ~after:(Solver.stats s) ~before
-        | None -> Solver.stats_zero ()
-      in
+      let delta = Solver.stats_diff ~after:(Solver.stats core) ~before in
       Solver.stats_add ~into:col.agg delta;
       col.iters <-
         {
@@ -179,15 +164,15 @@ let iter_span name ~bound ?core ?pool solve =
     let r = solve () in
     let attrs = [ ("verdict", Obs.Str (Solver.result_to_string r)) ] in
     let attrs =
-      match (r, core) with
-      | Solver.Unsat, Some solver ->
-        let core = Solver.unsat_core solver in
+      match r with
+      | Solver.Unsat ->
+        let core = Solver.unsat_core core in
         ("core_size", Obs.Int (List.length core))
         :: ( "unsat_core",
              Obs.Str
                (String.concat " " (List.map (fun l -> string_of_int (Lit.to_dimacs l)) core)) )
         :: attrs
-      | _ -> attrs
+      | Solver.Sat | Solver.Unknown _ -> attrs
     in
     Obs.end_span obs sp ~attrs;
     record r;
@@ -199,6 +184,152 @@ let pareto_point ~depth ~swaps =
   if Obs.enabled obs then
     Obs.instant obs "opt.pareto" ~attrs:[ ("depth", Obs.Int depth); ("swaps", Obs.Int swaps) ]
 
+(* ---- the budgeted solve ---- *)
+
+(* Every SAT call of every loop: one bound iteration ([phase] at
+   [bound]) under its span, with [solver] attached to the budget's
+   preemption control for exactly this call.  The call's [?timeout] /
+   [?max_conflicts] derive from the shared {!Budget.state}, and what it
+   actually cost is charged back (read off the master's stats, which the
+   pool merges replica effort into), so wall and conflict caps behave
+   identically on the sequential, portfolio and cube paths.  [pooled]
+   holds the extra assumptions a raw pool solve needs, [None] when the
+   encoding is not pool-capable (CEGAR loop); [direct] is the encoding's
+   own sequential solve. *)
+let budgeted_solve ?pool ~st ~phase ~bound ~solver ~pooled direct assumptions =
+  iter_span phase ~bound ~core:solver ?pool (fun () ->
+      Budget.with_attached st solver (fun () ->
+          let before = (Solver.stats solver).Solver.conflicts in
+          let timeout = Budget.solve_timeout st in
+          let max_conflicts = Budget.solve_max_conflicts st in
+          let r =
+            match (pool, pooled) with
+            | Some p, Some extra ->
+              Pool.solve p ~assumptions:(extra @ assumptions) ?max_conflicts ?timeout solver
+            | Some _, None | None, _ -> direct ~assumptions ?max_conflicts ?timeout ()
+          in
+          Budget.charge st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
+          r))
+
+(* ---- bound oracles ---- *)
+
+(* What the refinement loops need from an encoding: bounds as assumption
+   literals, model readers, the budgeted solve and result extraction.
+   [ensure_horizon d] makes depth bound [d] fully expressive: SWAPs must
+   be able to finish at every step below [d], and the last representable
+   finish step is [t_max - 2], so a verdict at [d] needs
+   [t_max >= d + 1]. *)
+type oracle = {
+  ensure_horizon : int -> unit;
+  depth_selector : int -> Lit.t;
+  build_counter : max_bound:int -> unit;
+  build_weighted_counter : weights:(int -> int) -> max_bound:int -> unit;
+  swap_bound_assumption : int -> Lit.t option;
+  model_swap_count : unit -> int;
+  model_weighted_cost : weights:(int -> int) -> int;
+  solve : phase:string -> bound:int -> Lit.t list -> Solver.result;
+  extract : status:Result_.status -> solve_seconds:float -> iterations:int -> Result_.t;
+}
+
+(* Next depth bound after UNSAT (paper §III-B-1). *)
+let grow_bound t_b =
+  let r = if t_b < 100 then 1.3 else 1.1 in
+  max (t_b + 1) (int_of_float (ceil (r *. float_of_int t_b)))
+
+(* The horizon a bound [d] needs, when [t_max] falls short of it.  Every
+   UNSAT proven so far was proven at a fully expressive horizon, so it
+   holds at any larger one and the ascent carries on across horizon
+   growth instead of restarting from T_LB. *)
+let grown_horizon ~t_max d = if d + 1 > t_max then Some (max (d + 1) (grow_bound t_max)) else None
+
+(* The classic encoder: horizon growth rebuilds it from scratch. *)
+let of_encoder ~config ?pool ~st instance ~t_max =
+  let enc = ref (Encoder.build ~config instance ~t_max) in
+  {
+    ensure_horizon =
+      (fun d ->
+        Option.iter
+          (fun t_max -> enc := Encoder.build ~config instance ~t_max)
+          (grown_horizon ~t_max:!enc.Encoder.t_max d));
+    depth_selector = (fun d -> Encoder.depth_selector !enc d);
+    build_counter = (fun ~max_bound -> Encoder.build_counter !enc ~max_bound);
+    build_weighted_counter =
+      (fun ~weights ~max_bound -> Encoder.build_weighted_counter !enc ~weights ~max_bound);
+    swap_bound_assumption = (fun k -> Encoder.swap_bound_assumption !enc k);
+    model_swap_count = (fun () -> Encoder.model_swap_count !enc);
+    model_weighted_cost = (fun ~weights -> Encoder.model_weighted_cost !enc ~weights);
+    solve =
+      (fun ~phase ~bound assumptions ->
+        let e = !enc in
+        budgeted_solve ?pool ~st ~phase ~bound ~solver:(Encoder.solver e)
+          ~pooled:(if Encoder.pool_capable e then Some [] else None)
+          (fun ~assumptions ?max_conflicts ?timeout () ->
+            Encoder.solve ~assumptions ?max_conflicts ?timeout e)
+          assumptions);
+    extract =
+      (fun ~status ~solve_seconds ~iterations ->
+        Encoder.extract ~status ~solve_seconds ~iterations !enc);
+  }
+
+(* The horizon-extension session: horizon growth emits only the delta
+   CNF, so learnt clauses survive it.  Plain CNF, hence pool-capable; a
+   raw pool solve must pass the horizon's activation literal. *)
+let of_session ~config ?pool ~st instance ~t_max =
+  let sess =
+    Session.create ~symmetry:config.Config.symmetry ~t_max
+      ~swap_duration:instance.Instance.swap_duration instance.Instance.circuit
+      instance.Instance.device
+  in
+  {
+    ensure_horizon =
+      (fun d ->
+        Option.iter
+          (fun t_max -> Session.extend_horizon sess ~t_max)
+          (grown_horizon ~t_max:(Session.t_max sess) d));
+    depth_selector = Session.depth_selector sess;
+    build_counter = Session.build_counter sess;
+    build_weighted_counter = Session.build_weighted_counter sess;
+    swap_bound_assumption = Session.swap_bound_assumption sess;
+    model_swap_count = (fun () -> Session.model_swap_count sess);
+    model_weighted_cost = Session.model_weighted_cost sess;
+    solve =
+      (fun ~phase ~bound assumptions ->
+        budgeted_solve ?pool ~st ~phase ~bound ~solver:(Session.solver sess)
+          ~pooled:(Some [ Session.horizon_assumption sess ])
+          (fun ~assumptions ?max_conflicts ?timeout () ->
+            Session.solve ~assumptions ?max_conflicts ?timeout sess)
+          assumptions);
+    extract =
+      (fun ~status ~solve_seconds ~iterations ->
+        let m = Session.model sess in
+        {
+          Result_.status;
+          depth = m.Session.m_depth;
+          swap_count = List.length m.Session.m_swaps;
+          mapping = m.Session.m_mapping;
+          schedule = m.Session.m_schedule;
+          swaps =
+            List.map (fun (e, tf) -> { Result_.sw_edge = e; sw_finish = tf }) m.Session.m_swaps;
+          solve_seconds;
+          iterations;
+        });
+  }
+
+(* The session encodes exactly one configuration — the default encoding,
+   with or without symmetry breaking — so it serves only that; every
+   other arm (the Table I/II ablations, preprocessing) runs on the
+   classic encoder it names.  The session starts at the paper's horizon
+   T_UB and grows cheaply; a classic rebuild re-encodes everything, so
+   the encoder starts one step past T_UB, where the bound T_UB itself is
+   decidable without one. *)
+let oracle ~incremental ~config ?pool ~st instance =
+  let t_ub = Instance.depth_upper_bound instance in
+  if incremental && config = { Config.default with Config.symmetry = config.Config.symmetry } then
+    of_session ~config ?pool ~st instance ~t_max:t_ub
+  else of_encoder ~config ?pool ~st instance ~t_max:(t_ub + 1)
+
+(* ---- the refinement loops ---- *)
+
 type outcome = {
   result : Result_.t option;
   optimal : bool;
@@ -209,167 +340,85 @@ type outcome = {
   iter_stats : iter_stat list; (* per bound iteration, oldest first *)
 }
 
-let empty_outcome ~iterations ~seconds =
-  {
-    result = None;
-    optimal = false;
-    iterations;
-    total_seconds = seconds;
-    pareto = [];
-    stats = Solver.stats_zero ();
-    iter_stats = [];
-  }
+let status_of optimal = if optimal then Result_.Optimal else Result_.Feasible
 
-(* Next depth bound after UNSAT (paper §III-B-1). *)
-let grow_bound t_b =
-  let r = if t_b < 100 then 1.3 else 1.1 in
-  max (t_b + 1) (int_of_float (ceil (r *. float_of_int t_b)))
-
-(* Budget-accounted solve calls: derive each call's [?timeout] /
-   [?max_conflicts] from the shared {!Budget.state} and charge back what
-   the call actually cost (read off the master's stats, which the pool
-   merges replica effort into), so wall and conflict caps behave
-   identically on the sequential, portfolio and cube paths.  A pool, when
-   given and the encoding is pool-capable (plain CNF, no CEGAR loop),
-   stands in for the sequential solver call. *)
-let esolve ?pool ~st ~assumptions enc =
-  let solver = Encoder.solver enc in
-  Budget.attach st solver;
-  let before = (Solver.stats solver).Solver.conflicts in
-  let timeout = Budget.solve_timeout st in
-  let max_conflicts = Budget.solve_max_conflicts st in
-  let r =
-    match pool with
-    | Some p when Encoder.pool_capable enc -> Pool.solve p ~assumptions ?max_conflicts ?timeout solver
-    | Some _ | None -> Encoder.solve ~assumptions ?max_conflicts ?timeout enc
-  in
-  Budget.charge st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
-  r
-
-let tbsolve ?pool ~st ~assumptions enc =
-  let solver = Tb_encoder.solver enc in
-  Budget.attach st solver;
-  let before = (Solver.stats solver).Solver.conflicts in
-  let timeout = Budget.solve_timeout st in
-  let max_conflicts = Budget.solve_max_conflicts st in
-  let r =
-    match pool with
-    | Some p when Tb_encoder.pool_capable enc ->
-      Pool.solve p ~assumptions ?max_conflicts ?timeout solver
-    | Some _ | None -> Tb_encoder.solve ~assumptions ?max_conflicts ?timeout enc
-  in
-  Budget.charge st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
-  r
-
-(* ---- depth optimization ---- *)
-
-(* Returns the outcome and, on success, the encoder together with the
-   achieved depth bound, so SWAP optimization can continue on the same
-   incremental solver state. *)
-let minimize_depth_with_encoder_body ~config ?pool ~st instance =
+(* Run one loop [body ~st ~clock ~iterations] on a fresh budget state
+   with iteration collection armed. *)
+let run_loop ~budget body =
+  let st = Budget.start budget in
   let clock = Stopwatch.start () in
   let iterations = ref 0 in
-  let t_lb = Instance.depth_lower_bound instance in
-  let fail () = (empty_outcome ~iterations:!iterations ~seconds:(Stopwatch.elapsed clock), None) in
-  let rec with_horizon t_max =
-    let enc = Encoder.build ~config instance ~t_max in
-    let check d =
-      incr iterations;
-      let sel = Encoder.depth_selector enc d in
-      iter_span "opt.depth_iter" ~bound:d ~core:(Encoder.solver enc) ?pool (fun () ->
-          esolve ?pool ~st ~assumptions:[ sel ] enc)
-    in
-    (* ascent: grow the bound until SAT *)
-    let rec ascend d =
-      if Budget.exhausted st then `Budget
-      else
-        match check d with
-        | Solver.Sat -> `Sat d
-        | Solver.Unknown _ -> `Budget
-        | Solver.Unsat -> if d >= t_max then `Horizon else ascend (min t_max (grow_bound d))
-    in
-    (* descent: tighten by 1 until UNSAT; [d] is known SAT *)
-    let rec descend d =
-      if d - 1 < t_lb then (d, true)
-      else if Budget.exhausted st then (d, false)
-      else
-        match check (d - 1) with
-        | Solver.Sat -> descend (d - 1)
-        | Solver.Unsat -> (d, true)
-        | Solver.Unknown _ -> (d, false)
-    in
-    match ascend t_lb with
-    | `Budget -> fail ()
-    | `Horizon -> with_horizon (grow_bound t_max)
-    | `Sat d_first -> (
-      let d, optimal = descend d_first in
-      (* re-solve at the chosen bound so the solver holds its model *)
-      match check d with
-      | Solver.Sat ->
-        let status = if optimal then Result_.Optimal else Result_.Feasible in
-        let result =
-          Encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed clock) ~iterations:!iterations
-            enc
-        in
-        pareto_point ~depth:d ~swaps:result.Result_.swap_count;
-        ( {
-            result = Some result;
-            optimal;
-            iterations = !iterations;
-            total_seconds = Stopwatch.elapsed clock;
-            pareto = [ (d, result.Result_.swap_count) ];
-            stats = Solver.stats_zero ();
-            iter_stats = [];
-          },
-          Some (enc, d) )
-      | Solver.Unsat | Solver.Unknown _ ->
-        (* unreachable in practice: the same bound was SAT moments ago *)
-        fail ())
+  let r, iters, agg = collecting (fun () -> body ~st ~clock ~iterations) in
+  (r, !iterations, Stopwatch.elapsed clock, agg, iters)
+
+let full_loop ~budget body =
+  let (result, optimal, pareto), iterations, total_seconds, stats, iter_stats =
+    run_loop ~budget body
   in
-  with_horizon (Instance.depth_upper_bound instance)
+  { result; optimal; iterations; total_seconds; pareto; stats; iter_stats }
 
-let minimize_depth_with_encoder_st ~config ?pool ~st instance =
-  let (o, enc), iters, agg =
-    collecting (fun () -> minimize_depth_with_encoder_body ~config ?pool ~st instance)
-  in
-  ({ o with stats = agg; iter_stats = iters }, enc)
-
-let minimize_depth_with_encoder ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    instance =
-  minimize_depth_with_encoder_st ~config ?pool ~st:(Budget.start budget) instance
-
-let minimize_depth ?config ?budget ?pool instance =
-  fst (minimize_depth_with_encoder ?config ?budget ?pool instance)
-
-(* ---- SWAP optimization (iterative refinement, §III-B-2) ---- *)
-
-(* Descend the SWAP bound under the depth selector for [depth].  [start]
-   is the count of the model currently in the solver.  On return the
-   solver's model is the best one found.  Returns (best count, proven
-   optimal at this depth). *)
-let descend_swaps enc ~depth ~start ?pool ~st iterations =
-  Encoder.build_counter enc ~max_bound:(max start 1);
+(* Tighten an upper bound one step at a time until UNSAT: [attempt b]
+   solves under "cost <= b" and [cost b] reads the new best after it
+   came back SAT.  Returns (best, proven optimal). *)
+let descend ~st ~iterations ~floor ~attempt ~cost start =
   let rec go best =
-    if best = 0 then (best, true)
+    if best <= floor then (best, true)
     else if Budget.exhausted st then (best, false)
     else begin
       incr iterations;
-      let sel = Encoder.depth_selector enc depth in
-      let assumptions =
-        match Encoder.swap_bound_assumption enc (best - 1) with
-        | Some a -> [ sel; a ]
-        | None -> [ sel ]
-      in
-      match
-        iter_span "opt.swap_iter" ~bound:(best - 1) ~core:(Encoder.solver enc) ?pool (fun () ->
-            esolve ?pool ~st ~assumptions enc)
-      with
-      | Solver.Sat -> go (Encoder.model_swap_count enc)
+      match attempt (best - 1) with
+      | Solver.Sat -> go (cost (best - 1))
       | Solver.Unsat -> (best, true)
       | Solver.Unknown _ -> (best, false)
     end
   in
   go start
+
+(* Depth minimization (§III-B-1): geometric ascent from T_LB, unit
+   descent, then a re-solve at the chosen bound so the oracle holds its
+   model.  Returns (depth, result) on success. *)
+let depth_loop o ~st ~clock ~iterations instance =
+  let t_lb = max 1 (Instance.depth_lower_bound instance) in
+  let attempt d =
+    o.ensure_horizon d;
+    o.solve ~phase:"opt.depth_iter" ~bound:d [ o.depth_selector d ]
+  in
+  let check d =
+    incr iterations;
+    attempt d
+  in
+  let rec ascend d =
+    if Budget.exhausted st then None
+    else
+      match check d with
+      | Solver.Sat -> Some d
+      | Solver.Unknown _ -> None
+      | Solver.Unsat -> ascend (grow_bound d)
+  in
+  Option.bind (ascend t_lb) (fun d_first ->
+      let d, optimal = descend ~st ~iterations ~floor:t_lb ~attempt ~cost:Fun.id d_first in
+      match check d with
+      | Solver.Sat ->
+        let result =
+          o.extract ~status:(status_of optimal) ~solve_seconds:(Stopwatch.elapsed clock)
+            ~iterations:!iterations
+        in
+        pareto_point ~depth:d ~swaps:result.Result_.swap_count;
+        Some (d, result)
+      | Solver.Unsat | Solver.Unknown _ ->
+        (* unreachable in practice: the same bound was SAT moments ago *)
+        None)
+
+let minimize_depth ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
+    ?(incremental = false) instance =
+  full_loop ~budget (fun ~st ~clock ~iterations ->
+      let o = oracle ~incremental ~config ?pool ~st instance in
+      match depth_loop o ~st ~clock ~iterations instance with
+      | None -> (None, false, [])
+      | Some (d, r) ->
+        (Some r, r.Result_.status = Result_.Optimal, [ (d, r.Result_.swap_count) ]))
+
+(* ---- SWAP optimization (iterative refinement, §III-B-2) ---- *)
 
 (* Seeding of a depth level's descent:
    [Fresh]       no bound (the very first depth, no warm start);
@@ -380,91 +429,69 @@ let descend_swaps enc ~depth ~start ?pool ~st iterations =
                  (paper termination condition 2). *)
 type seed = Fresh | Warm of int | Tightened of int
 
-let minimize_swaps_body ~config ?pool ~st ~max_depth_relax ?warm_start instance =
-  let clock = Stopwatch.start () in
-  let depth_outcome, enc_opt = minimize_depth_with_encoder_st ~config ?pool ~st instance in
-  match (depth_outcome.result, enc_opt) with
-  | None, _ | _, None -> depth_outcome
-  | Some _, Some (enc0, d0) ->
-    let iterations = ref depth_outcome.iterations in
-    let pareto = ref [] in
-    let best = ref None in
-    let best_optimal = ref false in
-    let capture enc optimal =
-      let status = if optimal then Result_.Optimal else Result_.Feasible in
-      Encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed clock) ~iterations:!iterations enc
-    in
-    (* Sweep depth bounds d0, d0+1, ...; at each, descend the SWAP count. *)
-    let rec sweep enc d seed relax_left =
-      incr iterations;
-      let sel = Encoder.depth_selector enc d in
-      let bound_assumption b =
-        Encoder.build_counter enc ~max_bound:(max b 1);
-        match Encoder.swap_bound_assumption enc (max 0 (b - 1)) with
-        | Some a -> [ sel; a ]
-        | None -> [ sel ]
-      in
-      let assumptions =
-        match seed with
-        | Fresh -> [ sel ]
-        | Warm w | Tightened w -> bound_assumption w
-      in
-      let prev = match seed with Fresh | Warm _ -> None | Tightened b -> Some b in
-      match
-        iter_span "opt.sweep_level" ~bound:d ~core:(Encoder.solver enc) ?pool (fun () ->
-            esolve ?pool ~st ~assumptions enc)
-      with
-      | Solver.Unsat when (match seed with Warm _ -> true | Fresh | Tightened _ -> false) ->
-        (* heuristic bound too tight for the optimal depth: restart the
-           level without it *)
-        sweep enc d Fresh relax_left
-      | Solver.Unsat | Solver.Unknown _ ->
-        (* no improvement at the relaxed depth (paper termination cond. 2),
-           or out of budget *)
-        ()
-      | Solver.Sat ->
-        let start = Encoder.model_swap_count enc in
-        let count, optimal = descend_swaps enc ~depth:d ~start ?pool ~st iterations in
-        pareto_point ~depth:d ~swaps:count;
-        pareto := (d, count) :: !pareto;
-        let improves = match prev with None -> true | Some b -> count < b in
-        if improves then begin
-          best := Some (capture enc optimal);
-          best_optimal := optimal
-        end;
-        if count > 0 && relax_left > 0 && not (Budget.exhausted st) then begin
-          let d' = d + 1 in
-          let enc' =
-            if d' + 1 <= enc.Encoder.t_max then enc
-            else Encoder.build ~config instance ~t_max:(d' + 2)
-          in
-          sweep enc' d' (Tightened count) (relax_left - 1)
-        end
-    in
-    let initial_seed = match warm_start with Some w when w >= 0 -> Warm w | Some _ | None -> Fresh in
-    sweep enc0 d0 initial_seed max_depth_relax;
-    let result =
-      match !best with
-      | Some r -> Some r
-      | None -> depth_outcome.result (* fall back to the depth-optimal model *)
-    in
-    {
-      result;
-      optimal = !best_optimal;
-      iterations = !iterations;
-      total_seconds = Stopwatch.elapsed clock;
-      pareto = List.rev !pareto;
-      stats = Solver.stats_zero ();
-      iter_stats = [];
-    }
-
 let minimize_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    ?(max_depth_relax = 4) ?warm_start instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () -> minimize_swaps_body ~config ?pool ~st ~max_depth_relax ?warm_start instance)
-  in
-  { o with stats = agg; iter_stats = iters }
+    ?(incremental = false) ?(max_depth_relax = 4) ?warm_start instance =
+  full_loop ~budget (fun ~st ~clock ~iterations ->
+      let o = oracle ~incremental ~config ?pool ~st instance in
+      match depth_loop o ~st ~clock ~iterations instance with
+      | None -> (None, false, [])
+      | Some (d0, depth_result) ->
+        let pareto = ref [] in
+        let best = ref None in
+        let best_optimal = ref false in
+        let bounded sel b = sel :: Option.to_list (o.swap_bound_assumption (max 0 b)) in
+        (* Sweep depth bounds d0, d0+1, ...; at each, descend the SWAP
+           count. *)
+        let rec sweep d seed relax_left =
+          incr iterations;
+          o.ensure_horizon (d + 1);
+          let sel = o.depth_selector d in
+          let assumptions =
+            match seed with
+            | Fresh -> [ sel ]
+            | Warm b | Tightened b ->
+              o.build_counter ~max_bound:(max b 1);
+              bounded sel (b - 1)
+          in
+          match o.solve ~phase:"opt.sweep_level" ~bound:d assumptions with
+          | Solver.Unsat when (match seed with Warm _ -> true | Fresh | Tightened _ -> false) ->
+            (* heuristic bound too tight for the optimal depth: restart
+               the level without it *)
+            sweep d Fresh relax_left
+          | Solver.Unsat | Solver.Unknown _ ->
+            (* no improvement at the relaxed depth (paper termination
+               cond. 2), or out of budget *)
+            ()
+          | Solver.Sat ->
+            let start = o.model_swap_count () in
+            o.build_counter ~max_bound:(max start 1);
+            let count, optimal =
+              descend ~st ~iterations ~floor:0 start
+                ~attempt:(fun b ->
+                  o.solve ~phase:"opt.swap_iter" ~bound:b (bounded (o.depth_selector d) b))
+                ~cost:(fun _ -> o.model_swap_count ())
+            in
+            pareto_point ~depth:d ~swaps:count;
+            pareto := (d, count) :: !pareto;
+            let improves = match seed with Tightened b -> count < b | Fresh | Warm _ -> true in
+            if improves then begin
+              (* the winning model is still in the solver *)
+              best :=
+                Some
+                  (o.extract ~status:(status_of optimal) ~solve_seconds:(Stopwatch.elapsed clock)
+                     ~iterations:!iterations);
+              best_optimal := optimal
+            end;
+            if count > 0 && relax_left > 0 && not (Budget.exhausted st) then
+              sweep (d + 1) (Tightened count) (relax_left - 1)
+        in
+        let initial_seed =
+          match warm_start with Some w when w >= 0 -> Warm w | Some _ | None -> Fresh
+        in
+        sweep d0 initial_seed max_depth_relax;
+        (* without a level result, fall back to the depth-optimal model *)
+        let result = match !best with Some r -> r | None -> depth_result in
+        (Some result, !best_optimal, List.rev !pareto))
 
 (* ---- fidelity-aware SWAP optimization ---- *)
 
@@ -472,59 +499,33 @@ let minimize_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
    the integer cost of a SWAP on edge [e] (e.g. scaled -log fidelity), so
    the synthesizer prefers routing through high-fidelity couplers.  Same
    iterative descent as [minimize_swaps], over the weighted counter. *)
-let minimize_weighted_swaps_body ~config ?pool ~st ~weights instance =
-  let clock = Stopwatch.start () in
-  let depth_outcome, enc_opt = minimize_depth_with_encoder_st ~config ?pool ~st instance in
-  match (depth_outcome.result, enc_opt) with
-  | None, _ | _, None -> depth_outcome
-  | Some _, Some (enc, d) ->
-    let iterations = ref depth_outcome.iterations in
-    let sel = Encoder.depth_selector enc d in
-    let start = Encoder.model_weighted_cost enc ~weights in
-    Encoder.build_weighted_counter enc ~weights ~max_bound:(max start 1);
-    let rec descend best =
-      if best = 0 then (best, true)
-      else if Budget.exhausted st then (best, false)
-      else begin
-        incr iterations;
-        let assumptions =
-          match Encoder.swap_bound_assumption enc (best - 1) with
-          | Some a -> [ sel; a ]
-          | None -> [ sel ]
+let minimize_weighted_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
+    ?(incremental = false) ~weights instance =
+  (* orbit symmetry breaking is unsound under per-edge weights: distinct
+     members of an edge orbit can carry different costs *)
+  let config = { config with Config.symmetry = false } in
+  full_loop ~budget (fun ~st ~clock ~iterations ->
+      let o = oracle ~incremental ~config ?pool ~st instance in
+      match depth_loop o ~st ~clock ~iterations instance with
+      | None -> (None, false, [])
+      | Some (d, _) ->
+        let sel = o.depth_selector d in
+        let start = o.model_weighted_cost ~weights in
+        o.build_weighted_counter ~weights ~max_bound:(max start 1);
+        let cost, optimal =
+          descend ~st ~iterations ~floor:0 start
+            ~attempt:(fun b ->
+              o.solve ~phase:"opt.weighted_iter" ~bound:b
+                (sel :: Option.to_list (o.swap_bound_assumption b)))
+            ~cost:(fun _ -> o.model_weighted_cost ~weights)
         in
-        match
-          iter_span "opt.weighted_iter" ~bound:(best - 1) ~core:(Encoder.solver enc) ?pool
-            (fun () -> esolve ?pool ~st ~assumptions enc)
-        with
-        | Solver.Sat -> descend (Encoder.model_weighted_cost enc ~weights)
-        | Solver.Unsat -> (best, true)
-        | Solver.Unknown _ -> (best, false)
-      end
-    in
-    let cost, optimal = descend start in
-    pareto_point ~depth:d ~swaps:cost;
-    (* the winning model is still in the solver *)
-    let status = if optimal then Result_.Optimal else Result_.Feasible in
-    let result =
-      Encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed clock) ~iterations:!iterations enc
-    in
-    {
-      result = Some result;
-      optimal;
-      iterations = !iterations;
-      total_seconds = Stopwatch.elapsed clock;
-      pareto = [ (d, cost) ];
-      stats = Solver.stats_zero ();
-      iter_stats = [];
-    }
-
-let minimize_weighted_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool ~weights
-    instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () -> minimize_weighted_swaps_body ~config ?pool ~st ~weights instance)
-  in
-  { o with stats = agg; iter_stats = iters }
+        pareto_point ~depth:d ~swaps:cost;
+        (* the winning model is still in the solver *)
+        let result =
+          o.extract ~status:(status_of optimal) ~solve_seconds:(Stopwatch.elapsed clock)
+            ~iterations:!iterations
+        in
+        (Some result, optimal, [ (d, cost) ]))
 
 (* ---- transition-based optimization (TB-OLSQ2, §III-D) ---- *)
 
@@ -537,454 +538,98 @@ type tb_outcome = {
   tb_iter_stats : iter_stat list; (* per bound iteration, oldest first *)
 }
 
-(* Block-count minimization: the bound starts at 1 and increases by 1 on
-   UNSAT (paper §III-D). *)
-let tb_minimize_blocks_body ~config ?pool ~st ~max_blocks instance =
-  let clock = Stopwatch.start () in
-  let iterations = ref 0 in
-  let done_ result optimal =
-    {
-      tb_result = result;
-      tb_optimal = optimal;
-      tb_iterations = !iterations;
-      tb_seconds = Stopwatch.elapsed clock;
-      tb_stats = Solver.stats_zero ();
-      tb_iter_stats = [];
-    }
+let tb_loop ~budget body =
+  let (tb_result, tb_optimal), tb_iterations, tb_seconds, tb_stats, tb_iter_stats =
+    run_loop ~budget body
   in
-  let rec try_blocks b =
-    if b > max_blocks || Budget.exhausted st then done_ None false
-    else begin
-      let enc = Tb_encoder.build ~config instance ~num_blocks:b in
-      incr iterations;
-      match
-        iter_span "opt.tb_iter" ~bound:b ~core:(Tb_encoder.solver enc) ?pool (fun () ->
-            tbsolve ?pool ~st ~assumptions:[] enc)
-      with
-      | Solver.Sat ->
-        let r =
-          Tb_encoder.extract ~status:Result_.Optimal ~solve_seconds:(Stopwatch.elapsed clock)
-            ~iterations:!iterations enc
-        in
-        pareto_point ~depth:r.Tb_encoder.blocks ~swaps:r.Tb_encoder.swap_count;
-        done_ (Some r) true
-      | Solver.Unsat -> try_blocks (b + 1)
-      | Solver.Unknown _ -> done_ None false
-    end
-  in
-  try_blocks 1
+  { tb_result; tb_optimal; tb_iterations; tb_seconds; tb_stats; tb_iter_stats }
 
-let tb_minimize_blocks ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    ?(max_blocks = 16) instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () -> tb_minimize_blocks_body ~config ?pool ~st ~max_blocks instance)
-  in
-  { o with tb_stats = agg; tb_iter_stats = iters }
+(* TB encoders are rebuilt per block count by construction: the block
+   bound is structural, the SWAP bound an assumption. *)
+let tb_solve ?pool ~st ~phase ~bound enc assumptions =
+  budgeted_solve ?pool ~st ~phase ~bound ~solver:(Tb_encoder.solver enc)
+    ~pooled:(if Tb_encoder.pool_capable enc then Some [] else None)
+    (fun ~assumptions ?max_conflicts ?timeout () ->
+      Tb_encoder.solve ~assumptions ?max_conflicts ?timeout enc)
+    assumptions
 
-(* Descend the SWAP bound on a TB encoder holding a model. *)
-let tb_descend enc ?pool ~st iterations =
-  let start = Tb_encoder.model_swap_count enc in
-  Tb_encoder.build_counter enc ~max_bound:(max start 1);
-  let rec go best =
-    if best = 0 then (best, true)
-    else if Budget.exhausted st then (best, false)
-    else begin
-      incr iterations;
-      match Tb_encoder.swap_bound_assumption enc (best - 1) with
-      | None -> (best, true)
-      | Some a -> (
-        match
-          iter_span "opt.swap_iter" ~bound:(best - 1) ~core:(Tb_encoder.solver enc) ?pool
-            (fun () -> tbsolve ?pool ~st ~assumptions:[ a ] enc)
-        with
-        | Solver.Sat -> go (Tb_encoder.model_swap_count enc)
-        | Solver.Unsat -> (best, true)
-        | Solver.Unknown _ -> (best, false))
-    end
-  in
-  go start
-
-(* SWAP minimization on the transition-based model: minimal block count
-   first, then SWAP descent; relax the block count while it reduces the
-   SWAP count further. *)
-let tb_minimize_swaps_body ~config ?pool ~st ~max_blocks ~max_block_relax instance =
-  let clock = Stopwatch.start () in
-  let iterations = ref 0 in
-  let best = ref None in
-  let best_optimal = ref false in
-  let record enc optimal =
-    let status = if optimal then Result_.Optimal else Result_.Feasible in
-    let r =
-      Tb_encoder.extract ~status ~solve_seconds:(Stopwatch.elapsed clock) ~iterations:!iterations
-        enc
-    in
-    pareto_point ~depth:r.Tb_encoder.blocks ~swaps:r.Tb_encoder.swap_count;
-    let keep =
-      match !best with
-      | None -> true
-      | Some b -> r.Tb_encoder.swap_count < b.Tb_encoder.swap_count
-    in
-    if keep then begin
-      best := Some r;
-      best_optimal := optimal
-    end;
-    r.Tb_encoder.swap_count
-  in
-  (* find the minimal SAT block count *)
-  let rec first_sat b =
+(* The minimal SAT block count: the bound starts at 1 and increases by 1
+   on UNSAT (paper §III-D).  Returns the encoder holding its model. *)
+let first_sat_blocks ~config ?pool ~st ~iterations ~max_blocks instance =
+  let rec go b =
     if b > max_blocks || Budget.exhausted st then None
     else begin
       let enc = Tb_encoder.build ~config instance ~num_blocks:b in
       incr iterations;
-      match
-        iter_span "opt.tb_iter" ~bound:b ~core:(Tb_encoder.solver enc) ?pool (fun () ->
-            tbsolve ?pool ~st ~assumptions:[] enc)
-      with
+      match tb_solve ?pool ~st ~phase:"opt.tb_iter" ~bound:b enc [] with
       | Solver.Sat -> Some (enc, b)
-      | Solver.Unsat -> first_sat (b + 1)
+      | Solver.Unsat -> go (b + 1)
       | Solver.Unknown _ -> None
     end
   in
-  (match first_sat 1 with
-  | None -> ()
-  | Some (enc, b0) ->
-    let count, optimal = tb_descend enc ?pool ~st iterations in
-    let count = record enc optimal |> min count in
-    (* relax the block count while it still reduces SWAPs *)
-    let rec relax b prev relax_left =
-      if prev = 0 || relax_left = 0 || b + 1 > max_blocks || Budget.exhausted st then ()
-      else begin
-        let enc' = Tb_encoder.build ~config instance ~num_blocks:(b + 1) in
-        Tb_encoder.build_counter enc' ~max_bound:(max prev 1);
-        incr iterations;
-        match Tb_encoder.swap_bound_assumption enc' (prev - 1) with
-        | None -> ()
-        | Some a -> (
-          match
-            iter_span "opt.tb_relax" ~bound:(b + 1) ~core:(Tb_encoder.solver enc') ?pool
-              (fun () -> tbsolve ?pool ~st ~assumptions:[ a ] enc')
-          with
-          | Solver.Unsat | Solver.Unknown _ -> () (* no improvement: stop *)
-          | Solver.Sat ->
-            let c, opt = tb_descend enc' ?pool ~st iterations in
-            let c = record enc' opt |> min c in
-            relax (b + 1) c (relax_left - 1))
-      end
-    in
-    relax b0 count max_block_relax);
-  {
-    tb_result = !best;
-    tb_optimal = !best_optimal;
-    tb_iterations = !iterations;
-    tb_seconds = Stopwatch.elapsed clock;
-    tb_stats = Solver.stats_zero ();
-    tb_iter_stats = [];
-  }
+  go 1
 
-let tb_minimize_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    ?(max_blocks = 16) ?(max_block_relax = 2) instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () ->
-        tb_minimize_swaps_body ~config ?pool ~st ~max_blocks ~max_block_relax instance)
-  in
-  { o with tb_stats = agg; tb_iter_stats = iters }
-
-(* ---- incremental horizon-extension optimization (lib/incremental) ---- *)
-
-(* Same refinement loops as above, but over one persistent
-   [Session.t]: when a depth bound outgrows the horizon, the session
-   emits only the delta CNF for the new time steps instead of
-   re-encoding from scratch, so learnt clauses survive every horizon
-   growth, not just bound changes within one horizon.  The session's
-   encoding is plain CNF, hence always pool-capable.
-
-   The session encoding ignores [config]'s formulation/encoding arms
-   (it is a fixed one-hot ladder encoding); [config.symmetry] and the
-   budget/pool knobs apply as usual. *)
-
-module Session = Olsq2_incremental.Session
-
-let isolve ?pool ~st ~assumptions sess =
-  let solver = Session.solver sess in
-  Budget.attach st solver;
-  let before = (Solver.stats solver).Solver.conflicts in
-  let timeout = Budget.solve_timeout st in
-  let max_conflicts = Budget.solve_max_conflicts st in
+let tb_extract ~clock ~iterations enc optimal =
   let r =
-    match pool with
-    | Some p ->
-      Pool.solve p
-        ~assumptions:(Session.horizon_assumption sess :: assumptions)
-        ?max_conflicts ?timeout solver
-    | None -> Session.solve ~assumptions ?max_conflicts ?timeout sess
+    Tb_encoder.extract ~status:(status_of optimal) ~solve_seconds:(Stopwatch.elapsed clock)
+      ~iterations:!iterations enc
   in
-  Budget.charge st ~conflicts:((Solver.stats solver).Solver.conflicts - before);
+  pareto_point ~depth:r.Tb_encoder.blocks ~swaps:r.Tb_encoder.swap_count;
   r
 
-let session_result ~status ~solve_seconds ~iterations sess =
-  let m = Session.model sess in
-  {
-    Result_.status;
-    depth = m.Session.m_depth;
-    swap_count = List.length m.Session.m_swaps;
-    mapping = m.Session.m_mapping;
-    schedule = m.Session.m_schedule;
-    swaps =
-      List.map
-        (fun (e, tf) -> { Result_.sw_edge = e; sw_finish = tf })
-        m.Session.m_swaps;
-    solve_seconds;
-    iterations;
-  }
+let tb_minimize_blocks ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
+    ?(max_blocks = 16) instance =
+  tb_loop ~budget (fun ~st ~clock ~iterations ->
+      match first_sat_blocks ~config ?pool ~st ~iterations ~max_blocks instance with
+      | None -> (None, false)
+      | Some (enc, _) -> (Some (tb_extract ~clock ~iterations enc true), true))
 
-(* A depth bound [d] is fully expressive only when SWAPs may finish at
-   every step below it; the last representable finish step is
-   [t_max - 2], so proving UNSAT at [d] needs [t_max >= d + 1].  The
-   classic path gets this by rebuilding with a larger horizon and
-   restarting the ascent; here the horizon grows in place and the
-   ascent just continues — every UNSAT already proven (at bounds below
-   the old horizon) stays valid in the extended encoding. *)
-let session_ensure_horizon sess d =
-  if d + 1 > Session.t_max sess then
-    Session.extend_horizon sess ~t_max:(max (d + 1) (grow_bound (Session.t_max sess)))
-
-let minimize_depth_session_body ~config ?pool ~st instance =
-  let clock = Stopwatch.start () in
-  let iterations = ref 0 in
-  let t_lb = max 1 (Instance.depth_lower_bound instance) in
-  let sess =
-    Session.create
-      ~symmetry:config.Config.symmetry
-      ~t_max:(max (t_lb + 1) (Instance.depth_upper_bound instance))
-      ~swap_duration:instance.Instance.swap_duration instance.Instance.circuit
-      instance.Instance.device
-  in
-  let fail () =
-    (empty_outcome ~iterations:!iterations ~seconds:(Stopwatch.elapsed clock), None)
-  in
-  let check d =
-    incr iterations;
-    session_ensure_horizon sess d;
-    let sel = Session.depth_selector sess d in
-    iter_span "opt.depth_iter" ~bound:d ~core:(Session.solver sess) ?pool (fun () ->
-        isolve ?pool ~st ~assumptions:[ sel ] sess)
-  in
-  let rec ascend d =
-    if Budget.exhausted st then `Budget
-    else
-      match check d with
-      | Solver.Sat -> `Sat d
-      | Solver.Unknown _ -> `Budget
-      | Solver.Unsat -> ascend (grow_bound d)
-  in
-  let rec descend d =
-    if d - 1 < t_lb then (d, true)
-    else if Budget.exhausted st then (d, false)
-    else
-      match check (d - 1) with
-      | Solver.Sat -> descend (d - 1)
-      | Solver.Unsat -> (d, true)
-      | Solver.Unknown _ -> (d, false)
-  in
-  match ascend t_lb with
-  | `Budget -> fail ()
-  | `Sat d_first -> (
-    let d, optimal = descend d_first in
-    (* re-solve at the chosen bound so the solver holds its model *)
-    match check d with
-    | Solver.Sat ->
-      let status = if optimal then Result_.Optimal else Result_.Feasible in
-      let result =
-        session_result ~status ~solve_seconds:(Stopwatch.elapsed clock)
-          ~iterations:!iterations sess
-      in
-      pareto_point ~depth:d ~swaps:result.Result_.swap_count;
-      ( {
-          result = Some result;
-          optimal;
-          iterations = !iterations;
-          total_seconds = Stopwatch.elapsed clock;
-          pareto = [ (d, result.Result_.swap_count) ];
-          stats = Solver.stats_zero ();
-          iter_stats = [];
-        },
-        Some (sess, d) )
-    | Solver.Unsat | Solver.Unknown _ ->
-      (* unreachable in practice: the same bound was SAT moments ago *)
-      fail ())
-
-let minimize_depth_incremental_st ~config ?pool ~st instance =
-  let (o, sess), iters, agg =
-    collecting (fun () -> minimize_depth_session_body ~config ?pool ~st instance)
-  in
-  ({ o with stats = agg; iter_stats = iters }, sess)
-
-let minimize_depth_incremental ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    instance =
-  fst (minimize_depth_incremental_st ~config ?pool ~st:(Budget.start budget) instance)
-
-(* SWAP descent on a session holding a model (mirror of [descend_swaps]). *)
-let descend_swaps_session sess ~depth ~start ?pool ~st iterations =
-  Session.build_counter sess ~max_bound:(max start 1);
-  let rec go best =
-    if best = 0 then (best, true)
-    else if Budget.exhausted st then (best, false)
-    else begin
-      incr iterations;
-      let sel = Session.depth_selector sess depth in
-      let assumptions =
-        match Session.swap_bound_assumption sess (best - 1) with
-        | Some a -> [ sel; a ]
-        | None -> [ sel ]
-      in
-      match
-        iter_span "opt.swap_iter" ~bound:(best - 1) ~core:(Session.solver sess) ?pool
-          (fun () -> isolve ?pool ~st ~assumptions sess)
-      with
-      | Solver.Sat -> go (Session.model_swap_count sess)
-      | Solver.Unsat -> (best, true)
-      | Solver.Unknown _ -> (best, false)
-    end
-  in
-  go start
-
-let minimize_swaps_incremental_body ~config ?pool ~st ~max_depth_relax ?warm_start instance =
-  let clock = Stopwatch.start () in
-  let depth_outcome, sess_opt = minimize_depth_incremental_st ~config ?pool ~st instance in
-  match (depth_outcome.result, sess_opt) with
-  | None, _ | _, None -> depth_outcome
-  | Some _, Some (sess, d0) ->
-    let iterations = ref depth_outcome.iterations in
-    let pareto = ref [] in
-    let best = ref None in
-    let best_optimal = ref false in
-    let capture optimal =
-      let status = if optimal then Result_.Optimal else Result_.Feasible in
-      session_result ~status ~solve_seconds:(Stopwatch.elapsed clock)
-        ~iterations:!iterations sess
-    in
-    (* Sweep depth bounds d0, d0+1, ...; at each, descend the SWAP
-       count (same frontier walk as [minimize_swaps_body], on one
-       persistent solver — depth relaxation extends the horizon in
-       place instead of re-encoding). *)
-    let rec sweep d seed relax_left =
-      incr iterations;
-      session_ensure_horizon sess (d + 1);
-      let sel = Session.depth_selector sess d in
-      let bound_assumption b =
-        Session.build_counter sess ~max_bound:(max b 1);
-        match Session.swap_bound_assumption sess (max 0 (b - 1)) with
-        | Some a -> [ sel; a ]
-        | None -> [ sel ]
-      in
-      let assumptions =
-        match seed with
-        | Fresh -> [ sel ]
-        | Warm w | Tightened w -> bound_assumption w
-      in
-      let prev = match seed with Fresh | Warm _ -> None | Tightened b -> Some b in
-      match
-        iter_span "opt.sweep_level" ~bound:d ~core:(Session.solver sess) ?pool (fun () ->
-            isolve ?pool ~st ~assumptions sess)
-      with
-      | Solver.Unsat when (match seed with Warm _ -> true | Fresh | Tightened _ -> false) ->
-        sweep d Fresh relax_left
-      | Solver.Unsat | Solver.Unknown _ -> ()
-      | Solver.Sat ->
-        let start = Session.model_swap_count sess in
-        let count, optimal = descend_swaps_session sess ~depth:d ~start ?pool ~st iterations in
-        pareto_point ~depth:d ~swaps:count;
-        pareto := (d, count) :: !pareto;
-        let improves = match prev with None -> true | Some b -> count < b in
-        if improves then begin
-          best := Some (capture optimal);
+(* SWAP minimization on the transition-based model: minimal block count
+   first, then SWAP descent; relax the block count while it reduces the
+   SWAP count further. *)
+let tb_minimize_swaps ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
+    ?(max_blocks = 16) ?(max_block_relax = 2) instance =
+  tb_loop ~budget (fun ~st ~clock ~iterations ->
+      let best = ref None in
+      let best_optimal = ref false in
+      let bounded enc b = Option.to_list (Tb_encoder.swap_bound_assumption enc b) in
+      (* descend the SWAP bound on an encoder holding a model, then keep
+         the model if it beats the best so far *)
+      let descend_and_record enc =
+        let start = Tb_encoder.model_swap_count enc in
+        Tb_encoder.build_counter enc ~max_bound:(max start 1);
+        let count, optimal =
+          descend ~st ~iterations ~floor:0 start
+            ~attempt:(fun b ->
+              tb_solve ?pool ~st ~phase:"opt.swap_iter" ~bound:b enc (bounded enc b))
+            ~cost:(fun _ -> Tb_encoder.model_swap_count enc)
+        in
+        let r = tb_extract ~clock ~iterations enc optimal in
+        let keep =
+          match !best with
+          | None -> true
+          | Some b -> r.Tb_encoder.swap_count < b.Tb_encoder.swap_count
+        in
+        if keep then begin
+          best := Some r;
           best_optimal := optimal
         end;
-        if count > 0 && relax_left > 0 && not (Budget.exhausted st) then
-          sweep (d + 1) (Tightened count) (relax_left - 1)
-    in
-    let initial_seed =
-      match warm_start with Some w when w >= 0 -> Warm w | Some _ | None -> Fresh
-    in
-    sweep d0 initial_seed max_depth_relax;
-    let result =
-      match !best with Some r -> Some r | None -> depth_outcome.result
-    in
-    {
-      result;
-      optimal = !best_optimal;
-      iterations = !iterations;
-      total_seconds = Stopwatch.elapsed clock;
-      pareto = List.rev !pareto;
-      stats = Solver.stats_zero ();
-      iter_stats = [];
-    }
-
-let minimize_swaps_incremental ?(config = Config.default) ?(budget = Budget.unlimited) ?pool
-    ?(max_depth_relax = 4) ?warm_start instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () ->
-        minimize_swaps_incremental_body ~config ?pool ~st ~max_depth_relax ?warm_start instance)
-  in
-  { o with stats = agg; iter_stats = iters }
-
-let minimize_weighted_swaps_incremental_body ~config ?pool ~st ~weights instance =
-  let clock = Stopwatch.start () in
-  (* orbit symmetry breaking is unsound under per-edge weights: distinct
-     members of an edge orbit can carry different costs *)
-  let config = { config with Config.symmetry = false } in
-  let depth_outcome, sess_opt = minimize_depth_incremental_st ~config ?pool ~st instance in
-  match (depth_outcome.result, sess_opt) with
-  | None, _ | _, None -> depth_outcome
-  | Some _, Some (sess, d) ->
-    let iterations = ref depth_outcome.iterations in
-    let sel = Session.depth_selector sess d in
-    let start = Session.model_weighted_cost sess ~weights in
-    Session.build_weighted_counter sess ~weights ~max_bound:(max start 1);
-    let rec descend best =
-      if best = 0 then (best, true)
-      else if Budget.exhausted st then (best, false)
-      else begin
-        incr iterations;
-        let assumptions =
-          match Session.swap_bound_assumption sess (best - 1) with
-          | Some a -> [ sel; a ]
-          | None -> [ sel ]
-        in
-        match
-          iter_span "opt.weighted_iter" ~bound:(best - 1) ~core:(Session.solver sess) ?pool
-            (fun () -> isolve ?pool ~st ~assumptions sess)
-        with
-        | Solver.Sat -> descend (Session.model_weighted_cost sess ~weights)
-        | Solver.Unsat -> (best, true)
-        | Solver.Unknown _ -> (best, false)
-      end
-    in
-    let cost, optimal = descend start in
-    pareto_point ~depth:d ~swaps:cost;
-    let status = if optimal then Result_.Optimal else Result_.Feasible in
-    let result =
-      session_result ~status ~solve_seconds:(Stopwatch.elapsed clock)
-        ~iterations:!iterations sess
-    in
-    {
-      result = Some result;
-      optimal;
-      iterations = !iterations;
-      total_seconds = Stopwatch.elapsed clock;
-      pareto = [ (d, cost) ];
-      stats = Solver.stats_zero ();
-      iter_stats = [];
-    }
-
-let minimize_weighted_swaps_incremental ?(config = Config.default) ?(budget = Budget.unlimited)
-    ?pool ~weights instance =
-  let st = Budget.start budget in
-  let o, iters, agg =
-    collecting (fun () ->
-        minimize_weighted_swaps_incremental_body ~config ?pool ~st ~weights instance)
-  in
-  { o with stats = agg; iter_stats = iters }
+        min count r.Tb_encoder.swap_count
+      in
+      let rec relax b prev relax_left =
+        if prev = 0 || relax_left = 0 || b + 1 > max_blocks || Budget.exhausted st then ()
+        else begin
+          let enc = Tb_encoder.build ~config instance ~num_blocks:(b + 1) in
+          Tb_encoder.build_counter enc ~max_bound:(max prev 1);
+          incr iterations;
+          match
+            tb_solve ?pool ~st ~phase:"opt.tb_relax" ~bound:(b + 1) enc (bounded enc (prev - 1))
+          with
+          | Solver.Unsat | Solver.Unknown _ -> () (* no improvement: stop *)
+          | Solver.Sat -> relax (b + 1) (descend_and_record enc) (relax_left - 1)
+        end
+      in
+      (match first_sat_blocks ~config ?pool ~st ~iterations ~max_blocks instance with
+      | None -> ()
+      | Some (enc, b0) -> relax b0 (descend_and_record enc) max_block_relax);
+      (!best, !best_optimal))

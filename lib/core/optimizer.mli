@@ -1,13 +1,22 @@
 (** Iterative-refinement optimization loops (paper §III-B):
-    assumption-driven bound search over incremental solver state.
+    assumption-driven bound search over incremental solver state — the
+    engine behind {!Synthesis.run}, which is the public entry point.
 
-    The five [minimize_*] / [tb_minimize_*] entry points below are the
-    optimization engine behind the {!Synthesis} facade.  New code should
-    call {!Synthesis.run}, which covers every objective behind one
-    signature and returns the unified {!Synthesis.report} (including the
-    recorded trace summary); these entry points remain for callers that
-    need engine-level knobs ([max_depth_relax], [max_blocks], ...) and are
-    considered deprecated as a public API.
+    Each loop (depth ascent/descent, SWAP descent along the
+    (depth, SWAP) Pareto sweep, weighted descent) is written once over a
+    bound oracle with two implementations:
+    - the classic {!Encoder} in the configuration [config] names,
+      rebuilt with a larger horizon when a depth bound outgrows it;
+    - with [~incremental:true], the horizon-extension
+      {!Olsq2_incremental.Session}, which extends its horizon in place
+      so learnt clauses survive horizon growth.  The session encodes
+      exactly one configuration, {!Config.default} with or without
+      [symmetry]; any other [config] (the Table I/II ablation arms,
+      [simplify]) runs on the classic encoder even when [incremental]
+      is set, so the arm asked for is the arm that runs.
+    Both oracles grow the horizon by the same rule and take the same
+    depth walk, so they return the same optima in the same number of
+    depth iterations.
 
     When the global {!Olsq2_obs.Obs} tracer is enabled, every bound
     iteration records a span ([opt.depth_iter], [opt.swap_iter],
@@ -17,8 +26,7 @@
 
     Every entry point takes a declarative {!Budget.t} (wall seconds,
     conflict cap, per-bound-call seconds) started once at entry, so the
-    deadline is fixed across the whole refinement — including the nested
-    depth loop inside [minimize_swaps] — and an optional
+    deadline is fixed across the whole refinement, and an optional
     {!Olsq2_parallel.Pool.t}: when given and the encoding is pool-capable
     (plain CNF, no CEGAR loop), hard bound queries are solved
     cube-and-conquer style across the pool's worker domains instead of on
@@ -68,30 +76,26 @@ type outcome = {
 }
 
 (** Depth minimization: geometric ascent from T_LB, then unit descent
-    (paper §III-B-1).  [budget] bounds wall-clock time and conflicts.
-    Deprecated entry point: prefer [Synthesis.run ~objective:Depth]. *)
+    (paper §III-B-1).  [budget] bounds wall-clock time and conflicts;
+    [incremental] (default [false]) selects the session oracle. *)
 val minimize_depth :
-  ?config:Config.t -> ?budget:Budget.t -> ?pool:Olsq2_parallel.Pool.t -> Instance.t -> outcome
-
-(** As {!minimize_depth}, additionally returning the encoder positioned at
-    the found depth for follow-up optimization. *)
-val minimize_depth_with_encoder :
   ?config:Config.t ->
   ?budget:Budget.t ->
   ?pool:Olsq2_parallel.Pool.t ->
+  ?incremental:bool ->
   Instance.t ->
-  outcome * (Encoder.t * int) option
+  outcome
 
 (** SWAP minimization with 2-D (depth, SWAP) refinement (paper §III-B-2):
     depth-optimal start, iterative SWAP descent, then depth relaxation
     while it keeps improving (up to [max_depth_relax] steps).
     [warm_start] supplies a heuristic SWAP upper bound (e.g. SABRE's
-    count) to seed the first descent, as the paper suggests for S_UB.
-    Deprecated entry point: prefer [Synthesis.run ~objective:(Swaps _)]. *)
+    count) to seed the first descent, as the paper suggests for S_UB. *)
 val minimize_swaps :
   ?config:Config.t ->
   ?budget:Budget.t ->
   ?pool:Olsq2_parallel.Pool.t ->
+  ?incremental:bool ->
   ?max_depth_relax:int ->
   ?warm_start:int ->
   Instance.t ->
@@ -99,46 +103,14 @@ val minimize_swaps :
 
 (** Fidelity-aware SWAP minimization at optimal depth: [weights e] is the
     integer cost of a SWAP on edge [e] (e.g. scaled -log fidelity).  The
-    pareto entry records (depth, optimal weighted cost).
-    Deprecated entry point: prefer
-    [Synthesis.run ~objective:(Weighted_swaps _)]. *)
+    pareto entry records (depth, optimal weighted cost).  Forces
+    [config.symmetry] off: orbit members can carry different weights, so
+    orbit restriction is unsound here. *)
 val minimize_weighted_swaps :
   ?config:Config.t ->
   ?budget:Budget.t ->
   ?pool:Olsq2_parallel.Pool.t ->
-  weights:(int -> int) ->
-  Instance.t ->
-  outcome
-
-(** {2 Incremental horizon-extension entry points}
-
-    Same refinement loops over one persistent
-    {!Olsq2_incremental.Session}: when a depth bound outgrows the
-    horizon, the session emits only the delta CNF for the new time
-    steps instead of re-encoding, so learnt clauses survive horizon
-    growth too.  The session encoding is a fixed plain-CNF one-hot
-    ladder — [config]'s formulation/encoding arms are ignored;
-    [config.symmetry] and budget/pool apply.  Selected by
-    [Synthesis.Options.incremental]. *)
-
-val minimize_depth_incremental :
-  ?config:Config.t -> ?budget:Budget.t -> ?pool:Olsq2_parallel.Pool.t -> Instance.t -> outcome
-
-val minimize_swaps_incremental :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?pool:Olsq2_parallel.Pool.t ->
-  ?max_depth_relax:int ->
-  ?warm_start:int ->
-  Instance.t ->
-  outcome
-
-(** Weighted descent forces [config.symmetry] off (orbit members can
-    carry different weights, so orbit restriction is unsound here). *)
-val minimize_weighted_swaps_incremental :
-  ?config:Config.t ->
-  ?budget:Budget.t ->
-  ?pool:Olsq2_parallel.Pool.t ->
+  ?incremental:bool ->
   weights:(int -> int) ->
   Instance.t ->
   outcome
@@ -153,8 +125,8 @@ type tb_outcome = {
 }
 
 (** TB-OLSQ2 block-count minimization: bound starts at 1, +1 on UNSAT
-    (paper §III-D).
-    Deprecated entry point: prefer [Synthesis.run ~objective:Tb_blocks]. *)
+    (paper §III-D).  TB encoders are rebuilt per block count by
+    construction, so TB loops take no [incremental] flag. *)
 val tb_minimize_blocks :
   ?config:Config.t ->
   ?budget:Budget.t ->
@@ -164,8 +136,7 @@ val tb_minimize_blocks :
   tb_outcome
 
 (** TB-OLSQ2 SWAP minimization: minimal block count, SWAP descent, then
-    block-count relaxation while it reduces SWAPs.
-    Deprecated entry point: prefer [Synthesis.run ~objective:Tb_swaps]. *)
+    block-count relaxation while it reduces SWAPs. *)
 val tb_minimize_swaps :
   ?config:Config.t ->
   ?budget:Budget.t ->

@@ -17,9 +17,10 @@ module Options = struct
     proof_file : string option;
     parallel : parallel;
     incremental : bool;
-        (* solve depth/SWAP objectives on one persistent
-           horizon-extension session (lib/incremental) instead of
-           re-encoding per horizon; TB objectives ignore it *)
+        (* solve depth/SWAP objectives of the default encoding on one
+           persistent horizon-extension session (lib/incremental)
+           instead of re-encoding per horizon; other encodings and TB
+           objectives ignore it *)
     device : string option;
         (* named device (Devices.by_name) this request targets; carried
            here so wire requests and the CLI can select topology and
@@ -359,17 +360,11 @@ let run ?(options = Options.default) ~objective instance =
   let incremental = options.Options.incremental in
   let dispatch () =
     match objective with
-    | Depth when incremental ->
-      `Full (Optimizer.minimize_depth_incremental ~config ~budget ?pool instance)
-    | Swaps { warm_start } when incremental ->
-      `Full (Optimizer.minimize_swaps_incremental ~config ~budget ?pool ?warm_start instance)
-    | Weighted_swaps weights when incremental ->
-      `Full (Optimizer.minimize_weighted_swaps_incremental ~config ~budget ?pool ~weights instance)
-    | Depth -> `Full (Optimizer.minimize_depth ~config ~budget ?pool instance)
+    | Depth -> `Full (Optimizer.minimize_depth ~config ~budget ?pool ~incremental instance)
     | Swaps { warm_start } ->
-      `Full (Optimizer.minimize_swaps ~config ~budget ?pool ?warm_start instance)
+      `Full (Optimizer.minimize_swaps ~config ~budget ?pool ~incremental ?warm_start instance)
     | Weighted_swaps weights ->
-      `Full (Optimizer.minimize_weighted_swaps ~config ~budget ?pool ~weights instance)
+      `Full (Optimizer.minimize_weighted_swaps ~config ~budget ?pool ~incremental ~weights instance)
     (* TB objectives keep the classic per-block-count encoders: their
        encoding is rebuilt per block bound by construction. *)
     | Tb_blocks -> `Tb (Optimizer.tb_minimize_blocks ~config ~budget ?pool instance)

@@ -100,9 +100,11 @@ module Options : sig
         (** solve [Depth] / [Swaps] / [Weighted_swaps] on one persistent
             horizon-extension session ({!Olsq2_incremental.Session}):
             horizon growth emits delta CNF instead of re-encoding, so
-            learnt clauses survive it.  The session encoding ignores
-            [config]'s formulation/encoding arms; [config.symmetry],
-            budget and pool apply.  TB objectives ignore this flag.
+            learnt clauses survive it.  The session encodes only
+            {!Config.default} (with or without [symmetry]); any other
+            [config] — the ablation arms, [simplify] — runs on the
+            classic encoder it names, so the arm asked for is the arm
+            that runs.  TB objectives ignore this flag.
             Certification is unaffected (it re-solves the claimed bound
             on a fresh classic encoder either way).  This is the
             default: the session reaches the same optima as the

@@ -56,7 +56,7 @@
    device automorphism to one where that gate executes on its orbit's
    representative edge, so depth and SWAP-count optima are preserved
    (weighted-SWAP objectives are NOT orbit-invariant; callers must keep
-   symmetry off there — [Core.Synthesis.run] does). *)
+   symmetry off there — [Core.Optimizer.minimize_weighted_swaps] does). *)
 
 module Lit = Olsq2_sat.Lit
 module Solver = Olsq2_sat.Solver

@@ -26,7 +26,8 @@ type t
     initial horizon.  [symmetry] restricts the first two-qubit gate to
     automorphism-orbit representative edges
     ([Olsq2_device.Symmetry.edge_orbits]) — optimality-preserving for
-    depth and SWAP count, NOT for weighted-SWAP objectives. *)
+    depth and SWAP count, NOT for weighted-SWAP objectives
+    ([Core.Optimizer.minimize_weighted_swaps] turns it off). *)
 val create :
   ?symmetry:bool -> t_max:int -> swap_duration:int -> Circuit.t -> Coupling.t -> t
 

@@ -16,7 +16,7 @@ type common = {
   simplify : bool option;
   certify : bool;
   proof_file : string option;
-  incremental : bool option;  (* None: Options.default (OLSQ2_INCREMENTAL or false) *)
+  incremental : bool option;  (* None: Options.default (OLSQ2_INCREMENTAL or true) *)
   symmetry : bool option;
   default_device : string option;
   sat : string list;  (* raw --sat KEY=VAL overrides, applied in order *)
@@ -95,8 +95,9 @@ let incremental_arg =
     let doc =
       "Solve depth/swap objectives on one persistent horizon-extension solver session: growing \
        the time horizon emits only the delta CNF, so learnt clauses survive horizon growth \
-       instead of being discarded by a re-encode.  Exact full-model objectives only (TB methods \
-       ignore it).  Defaults to $(b,OLSQ2_INCREMENTAL) or off."
+       instead of being discarded by a re-encode.  Applies to the default encoding (with or \
+       without $(b,--symmetry)); other encodings and $(b,--simplify) use the classic encoder, \
+       and TB methods ignore it.  Defaults to $(b,OLSQ2_INCREMENTAL) or on."
     in
     (Some true, Arg.info [ "incremental" ] ~doc)
   in

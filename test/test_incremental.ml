@@ -121,6 +121,12 @@ let base_options ?(symmetry = false) ~incremental () =
     |> with_budget (Core.Budget.of_seconds 120.)
     |> with_incremental incremental)
 
+(* a circuit of CNOTs on the given (control, target) pairs *)
+let cx_circuit ~name n pairs =
+  let b = Olsq2_circuit.Circuit.builder n in
+  List.iter (fun (q0, q1) -> Olsq2_circuit.Circuit.add2 b "cx" q0 q1) pairs;
+  Olsq2_circuit.Circuit.build b ~name
+
 let result_of name (report : Synthesis.report) =
   checkb (name ^ " optimal") true report.Synthesis.optimal;
   match report.Synthesis.result with
@@ -161,25 +167,61 @@ let test_parity_all_objectives () =
         (* TB ignores the flag: identical code path, identical answer *)
         checki (name ^ " depth") rc.Core.Result_.depth ri.Core.Result_.depth;
         checki (name ^ " swaps") rc.Core.Result_.swap_count ri.Core.Result_.swap_count)
-    objectives
+    objectives;
+  (* T_UB = 9 but the optimum depth is 10: both oracles must outgrow the
+     initial horizon and, with the same horizon rule, take the same depth
+     walk — each verdict is semantic, so the iteration counts agree *)
+  let overflow =
+    Core.Instance.make ~swap_duration:2
+      (cx_circuit ~name:"overflow" 5 [ (3, 0); (4, 3); (4, 0); (0, 3); (3, 2); (4, 0); (2, 0) ])
+      (Devices.line 5)
+  in
+  checki "overflow T_UB" 9 (Core.Instance.depth_upper_bound overflow);
+  let depth_run incremental =
+    let report =
+      run ~options:(base_options ~incremental ()) ~objective:Synthesis.Depth overflow
+    in
+    ((result_of "overflow depth" report).Core.Result_.depth, report.Synthesis.iterations)
+  in
+  let dc, ic = depth_run false and di, ii = depth_run true in
+  checki "overflow classic depth" 10 dc;
+  checki "overflow incremental depth" 10 di;
+  checki "overflow depth iterations" ic ii
 
-(* symmetry breaking must not change any optimum, incremental or classic *)
+(* symmetry breaking must not change any optimum, incremental or classic;
+   weighted objectives must ignore it (orbit members can carry different
+   weights) *)
 let test_symmetry_parity () =
+  let plain_objectives =
+    [ ("depth", Synthesis.Depth); ("swaps", Synthesis.Swaps { warm_start = None }) ]
+  in
+  let ring =
+    Core.Instance.make ~swap_duration:1
+      (cx_circuit ~name:"ring" 4 [ (3, 1); (0, 3); (0, 1); (1, 3); (3, 1) ])
+      (Devices.ring 4)
+  in
+  let ring_weights = Array.get [| 5; 4; 2; 5 |] in
   let cases =
     [
-      ("qaoa4-qx2", Core.Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:1 4) Devices.qx2);
+      ( "qaoa4-qx2",
+        Core.Instance.make ~swap_duration:1 (B.Qaoa.random ~seed:1 4) Devices.qx2,
+        plain_objectives );
       ( "brick12-heavyhex23",
         Core.Instance.make ~swap_duration:3 (B.Standard.brickwork 12)
-          (Devices.by_name "heavy-hex-3x7") );
+          (Devices.by_name "heavy-hex-3x7"),
+        plain_objectives );
+      ("cx5-ring4", ring, [ ("weighted", Synthesis.Weighted_swaps ring_weights) ]);
     ]
   in
   List.iter
-    (fun (cname, instance) ->
+    (fun (cname, instance, objectives) ->
       List.iter
         (fun (oname, objective) ->
           let value (r : Core.Result_.t) =
             match objective with
             | Synthesis.Depth -> r.Core.Result_.depth
+            | Synthesis.Weighted_swaps weights ->
+              weighted_cost ~weights ~device:instance.Core.Instance.device r
             | _ -> r.Core.Result_.swap_count
           in
           let plain =
@@ -196,8 +238,16 @@ let test_symmetry_parity () =
           in
           checki (cname ^ " " ^ oname ^ " incremental sym") (value plain) (value sym);
           checki (cname ^ " " ^ oname ^ " classic sym") (value plain) (value classic_sym))
-        [ ("depth", Synthesis.Depth); ("swaps", Synthesis.Swaps { warm_start = None }) ])
-    cases
+        objectives)
+    cases;
+  (* the weighted optimum of the ring case, pinned *)
+  let r =
+    result_of "cx5-ring4 weighted"
+      (run ~options:(base_options ~incremental:false ())
+         ~objective:(Synthesis.Weighted_swaps ring_weights) ring)
+  in
+  checki "cx5-ring4 weighted optimum" 6
+    (weighted_cost ~weights:ring_weights ~device:ring.Core.Instance.device r)
 
 (* --certify --incremental: the certificate re-solves on a fresh classic
    proof-logged encoder (with symmetry stripped), so it must come back

@@ -283,6 +283,35 @@ let test_preempt_before_start () =
   checkb "not optimal when preempted up front" false report.Synthesis.optimal;
   checkb "returns promptly" true (Unix.gettimeofday () -. t0 < 30.)
 
+(* The control holds a solver only while it solves: once the solve call
+   returns or raises, the solver is collectable (a daemon's control must
+   not retain every solver of a finished run), and a preempt landing
+   between two solves still interrupts the next one. *)
+let test_control_releases_solvers () =
+  let module Solver = Olsq2_sat.Solver in
+  let ctl = Budget.control () in
+  let st = Budget.start (Budget.with_control ctl (Budget.of_seconds 60.)) in
+  let weak = Weak.create 2 in
+  let solve_once i ~raise_after =
+    let s = Solver.create () in
+    Weak.set weak i (Some s);
+    try
+      Budget.with_attached st s (fun () ->
+          ignore (Solver.solve s);
+          if raise_after then raise Exit)
+    with Exit -> ()
+  in
+  solve_once 0 ~raise_after:false;
+  solve_once 1 ~raise_after:true;
+  Gc.full_major ();
+  checkb "solver released after return" false (Weak.check weak 0);
+  checkb "solver released after raise" false (Weak.check weak 1);
+  Budget.preempt ctl;
+  let s = Solver.create () in
+  Budget.with_attached st s (fun () ->
+      checkb "attached after preempt is interrupted" true (Solver.interrupted s));
+  checkb "preempted budget is exhausted" true (Budget.exhausted st)
+
 let test_preempt_mid_run () =
   let ctl = Budget.control () in
   let options =
@@ -731,6 +760,7 @@ let suite =
         Alcotest.test_case "http rejects bad content-length" `Quick test_http_bad_length;
         Alcotest.test_case "preempt before start" `Quick test_preempt_before_start;
         Alcotest.test_case "preempt mid-run" `Slow test_preempt_mid_run;
+        Alcotest.test_case "control releases solvers" `Quick test_control_releases_solvers;
         Alcotest.test_case "end-to-end concurrent load" `Slow test_end_to_end;
         Alcotest.test_case "async jobs" `Slow test_async_jobs;
         Alcotest.test_case "request tracing + obs endpoints" `Slow test_request_tracing;
